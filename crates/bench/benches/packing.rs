@@ -1,12 +1,9 @@
 //! Criterion bench: the Algorithm-2 packing heuristic under the three fit
-//! strategies (ablation for the scheduler's packing efficiency, Fig. 8c),
-//! plus the sharded driver at several shard counts (`--threads N` sizes
-//! the pool; outputs are asserted byte-identical before timing).
+//! strategies (ablation for the scheduler's packing efficiency, Fig. 8c).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use phoenix_cluster::packing::{pack, pack_sharded, FitStrategy, PackingConfig, PlannedPod};
+use phoenix_cluster::packing::{pack, FitStrategy, PackingConfig, PlannedPod};
 use phoenix_cluster::{ClusterState, PodKey, Resources};
-use phoenix_core::controller::PoolShardRunner;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,40 +49,7 @@ fn bench_packing(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sharded(c: &mut Criterion) {
-    let mut group = c.benchmark_group("packing_sharded");
-    group.sample_size(20);
-    let plan = plan_of(2000, 3);
-    let pool = phoenix_exec::global();
-    let runner = PoolShardRunner(pool);
-    // Correctness guard before timing: the sharded outcome must equal the
-    // sequential pack byte-for-byte.
-    let mut seq_state = ClusterState::homogeneous(200, Resources::cpu(64.0));
-    let seq = pack(&mut seq_state, &plan, &PackingConfig::default());
-    for shards in [0usize, 4, 16] {
-        let cfg = PackingConfig {
-            shards,
-            ..PackingConfig::default()
-        };
-        let mut check = ClusterState::homogeneous(200, Resources::cpu(64.0));
-        let out = pack_sharded(&mut check, &plan, &cfg, &runner);
-        assert_eq!(out.starts, seq.starts, "sharded divergence at {shards}");
-        assert_eq!(out.unplaced, seq.unplaced);
-        group.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, &shards| {
-            let cfg = PackingConfig {
-                shards,
-                ..PackingConfig::default()
-            };
-            b.iter(|| {
-                let mut state = ClusterState::homogeneous(200, Resources::cpu(64.0));
-                pack_sharded(&mut state, &plan, &cfg, &runner)
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_packing, bench_sharded);
+criterion_group!(benches, bench_packing);
 // Expanded `criterion_main!` so the harness honours the standard
 // `--threads N` flag (and `PHOENIX_THREADS`) before any group runs.
 fn main() {

@@ -17,16 +17,15 @@
 //! (`cold_par_ms`, per-app ranking fanned out on the `phoenix-exec`
 //! pool) and, per cluster size, a sequential-vs-parallel multi-trial
 //! AdaptLab sweep (`sweep_rows`) — after asserting the parallel runs are
-//! byte-identical to the sequential ones. The sharded-packing columns
-//! (`cold_shard_ms` / `cold_shard_speedup`, cold plan with
-//! `PackingConfig::shards = 8` on the pool, action plans asserted equal
-//! to the sequential cold first) are additive to schema v2. Schema v4
-//! is again additive: the hand-appended `scenario_matrix` block's rows
-//! carry the wall-clock `replan_ms_p99` scorecard column from
-//! `phoenix-obs` (sub-millisecond planner rounds at smoke scale record
-//! as 0). `--threads N` (or `PHOENIX_THREADS`) sets the pool size; v1
-//! fields are unchanged. `host_cpus` records the machine truthfully —
-//! on a 1-CPU container every parallel speedup is ~1×.
+//! byte-identical to the sequential ones. Schema v4 is additive: the
+//! hand-appended `scenario_matrix` block's rows carry the wall-clock
+//! `replan_ms_p99` scorecard column from `phoenix-obs` (sub-millisecond
+//! planner rounds at smoke scale record as 0). Schema v5 removes the
+//! sharded-packing keys (`packing_shards`, `cold_shard_ms`,
+//! `cold_shard_speedup`) with the sharded packer. `--threads N` (or
+//! `PHOENIX_THREADS`) sets the pool size; v1 fields are unchanged.
+//! `host_cpus` records the machine truthfully — on a 1-CPU container
+//! every parallel speedup is ~1×.
 
 use std::time::{Duration, Instant};
 
@@ -44,17 +43,12 @@ use phoenix_exec::Pool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Shard count for the sharded-packing rows (fixed so the JSON rows stay
-/// comparable across commits).
-const PACKING_SHARDS: usize = 8;
-
 /// One cold/warm measurement row for the JSON baseline file.
 struct ReplanRow {
     nodes: usize,
     objective: ObjectiveKind,
     cold: Duration,
     cold_par: Duration,
-    cold_shard: Duration,
     warm: Duration,
 }
 
@@ -74,29 +68,19 @@ struct SweepRow {
 fn measure_replan(env: &phoenix_adaptlab::scenario::AdaptLabEnv, kind: ObjectiveKind) -> ReplanRow {
     let (mut controller, failed_a, failed_b) = replan_scenario::converge_and_degrade(env, kind);
     let cfg = PhoenixConfig::with_objective(kind);
-    let mut shard_cfg = PhoenixConfig::with_objective(kind);
-    shard_cfg.packing.shards = PACKING_SHARDS;
     let sequential = Pool::sequential();
     let rounds = 6;
     let mut cold = Duration::MAX;
     let mut cold_par = Duration::MAX;
-    let mut cold_shard = Duration::MAX;
     let mut warm = Duration::MAX;
     for i in 0..rounds {
         let state = if i % 2 == 0 { &failed_a } else { &failed_b };
         let t = Instant::now();
-        let seq = plan_with_pool(&env.workload, state, &cfg, &sequential);
+        let _ = plan_with_pool(&env.workload, state, &cfg, &sequential);
         cold = cold.min(t.elapsed());
         let t = Instant::now();
         let _ = plan_with_pool(&env.workload, state, &cfg, phoenix_exec::global());
         cold_par = cold_par.min(t.elapsed());
-        let t = Instant::now();
-        let sharded = plan_with_pool(&env.workload, state, &shard_cfg, phoenix_exec::global());
-        cold_shard = cold_shard.min(t.elapsed());
-        assert_eq!(
-            seq.actions, sharded.actions,
-            "sharded/sequential packing divergence ({kind}, round {i})"
-        );
         let t = Instant::now();
         let _ = controller.replan(state, ReplanDelta::CapacityOnly);
         warm = warm.min(t.elapsed());
@@ -106,7 +90,6 @@ fn measure_replan(env: &phoenix_adaptlab::scenario::AdaptLabEnv, kind: Objective
         objective: kind,
         cold,
         cold_par,
-        cold_shard,
         warm,
     }
 }
@@ -174,7 +157,7 @@ fn measure_sweep(nodes: usize, trials: u32, seed: u64) -> SweepRow {
 fn write_json(path: &str, scale: &str, threads: usize, rows: &[ReplanRow], sweeps: &[SweepRow]) {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"planner_replan\",\n");
-    out.push_str("  \"schema_version\": 4,\n");
+    out.push_str("  \"schema_version\": 5,\n");
     out.push_str(&format!("  \"scale\": \"{scale}\",\n"));
     out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str(&format!(
@@ -182,15 +165,13 @@ fn write_json(path: &str, scale: &str, threads: usize, rows: &[ReplanRow], sweep
         std::thread::available_parallelism().map_or(1, |n| n.get())
     ));
     out.push_str("  \"equivalence_checked\": true,\n");
-    out.push_str(&format!("  \"packing_shards\": {PACKING_SHARDS},\n"));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let cold_ms = r.cold.as_secs_f64() * 1e3;
         let cold_par_ms = r.cold_par.as_secs_f64() * 1e3;
-        let cold_shard_ms = r.cold_shard.as_secs_f64() * 1e3;
         let warm_ms = r.warm.as_secs_f64() * 1e3;
         out.push_str(&format!(
-            "    {{\"nodes\": {}, \"objective\": \"{}\", \"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"speedup\": {:.2}, \"cold_par_ms\": {:.3}, \"cold_par_speedup\": {:.2}, \"cold_shard_ms\": {:.3}, \"cold_shard_speedup\": {:.2}}}{}\n",
+            "    {{\"nodes\": {}, \"objective\": \"{}\", \"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"speedup\": {:.2}, \"cold_par_ms\": {:.3}, \"cold_par_speedup\": {:.2}}}{}\n",
             r.nodes,
             r.objective,
             cold_ms,
@@ -198,8 +179,6 @@ fn write_json(path: &str, scale: &str, threads: usize, rows: &[ReplanRow], sweep
             cold_ms / warm_ms,
             cold_par_ms,
             cold_ms / cold_par_ms,
-            cold_shard_ms,
-            cold_ms / cold_shard_ms,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -292,11 +271,9 @@ fn main() {
         // plus the data-parallel cold path on the global pool.
         for kind in [ObjectiveKind::Cost, ObjectiveKind::Fairness] {
             let row = measure_replan(&env, kind);
-            let (warm_label, par_label, shard_label) = match kind {
-                ObjectiveKind::Cost => ("PhoenixCost-warm", "PhoenixCost-par", "PhoenixCost-shard"),
-                ObjectiveKind::Fairness => {
-                    ("PhoenixFair-warm", "PhoenixFair-par", "PhoenixFair-shard")
-                }
+            let (warm_label, par_label) = match kind {
+                ObjectiveKind::Cost => ("PhoenixCost-warm", "PhoenixCost-par"),
+                ObjectiveKind::Fairness => ("PhoenixFair-warm", "PhoenixFair-par"),
             };
             table.row([
                 nodes.to_string(),
@@ -315,15 +292,6 @@ fn main() {
                 format!(
                     "cold x{threads} threads -> {:.1}x faster",
                     row.cold.as_secs_f64() / row.cold_par.as_secs_f64()
-                ),
-            ]);
-            table.row([
-                nodes.to_string(),
-                shard_label.to_string(),
-                secs(row.cold_shard.as_secs_f64()),
-                format!(
-                    "cold, packing over {PACKING_SHARDS} shards -> {:.1}x faster",
-                    row.cold.as_secs_f64() / row.cold_shard.as_secs_f64()
                 ),
             ]);
             replan_rows.push(row);

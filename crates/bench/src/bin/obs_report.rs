@@ -43,8 +43,8 @@ fn main() {
     install(recorder.clone());
 
     // Warm-replan loop: cold plan, then alternate between two degraded
-    // states so every round is a genuine capacity-only delta (cache hits,
-    // rank replays, waterfill, sharded packing).
+    // states so every round is a genuine capacity-only delta (sweep
+    // skips, rank replays, waterfill, packing).
     let env = replan_env(nodes);
     let (mut controller, failed_a, failed_b) = converge_and_degrade(&env, ObjectiveKind::Fairness);
     for round in 0..rounds {

@@ -207,3 +207,149 @@ proptest! {
         state.check_invariants().unwrap();
     }
 }
+
+/// A live-cluster packing input: mixed 2-D node capacities, failed
+/// nodes, plan pods already running (so the keep and delete-lower-ranks
+/// victim paths fire), running pods absent from the plan (diagonal-scaling
+/// deletions), and random strategy / strictness / migration-budget /
+/// pod-cap knobs.
+#[derive(Debug, Clone)]
+struct LiveScenario {
+    caps: Vec<(f64, f64)>,
+    fail_mask: Vec<bool>,
+    /// Plan entries: `(cpu, mem, pre_existing)` — pre-existing pods are
+    /// assigned (first-fit by node id) before the pack.
+    plan: Vec<(f64, f64, bool)>,
+    /// Running pods absent from the plan.
+    extra: Vec<f64>,
+    cfg: PackingConfig,
+}
+
+fn arb_live_scenario() -> impl Strategy<Value = LiveScenario> {
+    (
+        proptest::collection::vec((3.0f64..16.0, 2.0f64..20.0), 1..14),
+        proptest::collection::vec(any::<bool>(), 1..14),
+        proptest::collection::vec((0.5f64..7.0, 0.0f64..6.0, any::<bool>()), 0..50),
+        proptest::collection::vec(0.5f64..4.0, 0..5),
+        (0u8..3, any::<bool>(), any::<bool>(), 1usize..3, 1usize..4),
+        proptest::option::of(1usize..6),
+    )
+        .prop_map(|(caps, fail_mask, plan, extra, knobs, pod_cap)| {
+            let (fit, strict, enable_migration, moves, nodes_budget) = knobs;
+            LiveScenario {
+                caps,
+                fail_mask,
+                plan,
+                extra,
+                cfg: PackingConfig {
+                    fit: match fit {
+                        0 => FitStrategy::BestFit,
+                        1 => FitStrategy::FirstFit,
+                        _ => FitStrategy::WorstFit,
+                    },
+                    strict,
+                    enable_migration,
+                    max_migration_moves: moves,
+                    max_migration_nodes: nodes_budget,
+                    max_pods_per_node: pod_cap,
+                    ..PackingConfig::default()
+                },
+            }
+        })
+}
+
+/// Builds the pre-pack cluster: failed nodes failed, then pre-existing
+/// plan pods and extra (unplanned) pods assigned first-fit by node id
+/// within capacity and the pod cap.
+fn build_live_state(s: &LiveScenario) -> (ClusterState, Vec<PlannedPod>) {
+    let mut state = ClusterState::new(s.caps.iter().map(|&(c, m)| Resources::new(c, m)));
+    for (i, &down) in s.fail_mask.iter().take(s.caps.len()).enumerate() {
+        if down {
+            state.fail_node(NodeId::new(i as u32));
+        }
+    }
+    let plan: Vec<PlannedPod> = s
+        .plan
+        .iter()
+        .enumerate()
+        .map(|(i, &(cpu, mem, _))| {
+            PlannedPod::new(PodKey::new(0, i as u32, 0), Resources::new(cpu, mem))
+        })
+        .collect();
+    let running = plan
+        .iter()
+        .zip(&s.plan)
+        .filter(|&(_, &(_, _, pre))| pre)
+        .map(|(p, _)| (p.key, p.demand))
+        .chain(
+            s.extra
+                .iter()
+                .enumerate()
+                .map(|(j, &cpu)| (PodKey::new(0, 10_000 + j as u32, 0), Resources::cpu(cpu))),
+        );
+    for (pod, demand) in running {
+        let home = state.node_ids().into_iter().find(|&n| {
+            state.is_healthy(n)
+                && demand.fits_in(&state.remaining(n))
+                && s.cfg
+                    .max_pods_per_node
+                    .is_none_or(|cap| state.pods_on(n).len() < cap)
+        });
+        if let Some(n) = home {
+            state.assign(pod, demand, n).unwrap();
+        }
+    }
+    (state, plan)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Packing a live cluster keeps every Algorithm-2 invariant,
+    /// recomputed from the packed state rather than trusted from the
+    /// packer's own bookkeeping.
+    #[test]
+    fn live_cluster_packing_invariants_hold(s in arb_live_scenario()) {
+        let (mut state, plan) = build_live_state(&s);
+        let out = pack(&mut state, &plan, &s.cfg);
+        state.check_invariants().unwrap();
+
+        for n in state.node_ids() {
+            let pods = state.pods_on(n);
+            // Placements only on healthy nodes.
+            prop_assert!(pods.is_empty() || state.is_healthy(n), "pods on failed {}", n);
+            // Per-node, per-dimension capacity.
+            let used = pods
+                .iter()
+                .map(|&p| state.demand_of(p).expect("pod on node has demand"))
+                .fold(Resources::ZERO, |acc, d| acc + d);
+            let cap = state.effective_capacity(n);
+            prop_assert!(used.cpu <= cap.cpu + 1e-6, "{} cpu {} > {}", n, used.cpu, cap.cpu);
+            prop_assert!(used.mem <= cap.mem + 1e-6, "{} mem {} > {}", n, used.mem, cap.mem);
+            // The pod cap is never exceeded.
+            if let Some(cap) = s.cfg.max_pods_per_node {
+                prop_assert!(pods.len() <= cap, "{} holds {} pods over the {} cap", n, pods.len(), cap);
+            }
+        }
+
+        // No pod is both deleted and started.
+        for &(p, _) in &out.starts {
+            prop_assert!(!out.deletions.contains(&p), "{} deleted and started", p);
+        }
+
+        if out.aborted {
+            // Strict mode stops at its first unplaced pod: nothing ranked
+            // after it was started.
+            prop_assert!(s.cfg.strict);
+            prop_assert_eq!(out.unplaced.len(), 1);
+            let stop = out.unplaced[0].service as usize;
+            for &(p, _) in &out.starts {
+                prop_assert!((p.service as usize) < stop, "{} started after the abort", p);
+            }
+        } else {
+            // Every planned pod is placed or reported unplaced, once.
+            prop_assert!(!s.cfg.strict || out.unplaced.is_empty());
+            prop_assert_eq!(state.pod_count() + out.unplaced.len(), plan.len());
+        }
+    }
+}

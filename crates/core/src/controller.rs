@@ -3,8 +3,7 @@
 
 use std::time::{Duration, Instant};
 
-use phoenix_cluster::packing::{pack, pack_sharded, PackOutcome, PackingConfig, PlannedPod};
-use phoenix_cluster::shard::{ShardProposals, ShardRunner};
+use phoenix_cluster::packing::{pack, PackOutcome, PackingConfig, PlannedPod};
 use phoenix_cluster::ClusterState;
 use phoenix_exec::Pool;
 
@@ -146,26 +145,6 @@ pub fn plan_with(workload: &Workload, state: &ClusterState, config: &PhoenixConf
     plan_with_pool(workload, state, config, phoenix_exec::global())
 }
 
-/// Runs sharded-packing proposal passes on a [`Pool`].
-///
-/// `phoenix-cluster` defines the [`ShardRunner`] seam without depending
-/// on the execution substrate (substrate crates carry no intra-workspace
-/// deps); this adapter is the one place the two meet. Inherits the
-/// pool's determinism contract: results come back in shard order
-/// whatever the thread count, and nested fan-out self-suppresses.
-#[derive(Debug, Clone, Copy)]
-pub struct PoolShardRunner<'a>(pub &'a Pool);
-
-impl ShardRunner for PoolShardRunner<'_> {
-    fn run_shards(
-        &self,
-        shards: usize,
-        f: &(dyn Fn(usize) -> ShardProposals + Sync),
-    ) -> Vec<ShardProposals> {
-        self.0.par_map_range(shards, |s| f(s))
-    }
-}
-
 /// Flattens the global activation list into per-replica [`PlannedPod`]s,
 /// resolving each service's chosen serving mode.
 ///
@@ -238,10 +217,7 @@ pub(crate) fn effective_packing(workload: &Workload, packing: &PackingConfig) ->
 /// order — while the global-ranking heap merge stays sequential, so the
 /// output is **byte-identical for every thread count** (see the
 /// thread-invariance tests below and in [`crate::replan`]). Packing is
-/// sequential by default; with [`PackingConfig::shards`] `> 1` its fit
-/// scans fan out over node shards on the same pool, with output
-/// byte-identical to the sequential pack by the ordered-merge contract
-/// (`phoenix_cluster::packing`).
+/// sequential.
 pub fn plan_with_pool(
     workload: &Workload,
     state: &ClusterState,
@@ -273,17 +249,12 @@ pub fn plan_with_pool(
     let t1 = Instant::now();
     let _pack_timer = obs.phase(phoenix_obs::Phase::Pack);
     let (plan, modes) = flatten_plan(workload, &rank.items);
-    let mut pack_cfg = effective_packing(workload, &config.packing);
-    pack_cfg.shards = pack_cfg.resolve_shards(state.node_count(), pool.threads());
+    let pack_cfg = effective_packing(workload, &config.packing);
     // One scratch clone per planning round: `PlanResult::target` must own
     // the packed state while `state` stays untouched — this is the API
     // contract, not per-trial fan-out overhead.
     let mut target = state.clone();
-    let packing = if pack_cfg.shards > 1 {
-        pack_sharded(&mut target, &plan, &pack_cfg, &PoolShardRunner(pool))
-    } else {
-        pack(&mut target, &plan, &pack_cfg)
-    };
+    let packing = pack(&mut target, &plan, &pack_cfg);
     drop(_pack_timer);
     let scheduler_time = t1.elapsed();
 
@@ -385,6 +356,9 @@ mod tests {
     fn replan_matches_plan_and_cache_can_be_dropped() {
         use crate::replan::ReplanDelta;
 
+        // Its CapacityOnly skip must not count into the replan churn
+        // tests' recorder.
+        let _installed = phoenix_obs::install_scoped(phoenix_obs::Recorder::disabled());
         let w = workload();
         let mut c = PhoenixController::new(w, PhoenixConfig::default());
         let mut state = ClusterState::homogeneous(4, Resources::cpu(4.0));
@@ -418,27 +392,6 @@ mod tests {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&seq.rank.fair_shares), bits(&par.rank.fair_shares));
             assert_eq!(bits(&seq.rank.allocated), bits(&par.rank.allocated));
-        }
-    }
-
-    #[test]
-    fn sharded_packing_is_equivalent_and_thread_invariant() {
-        let w = workload();
-        let mut state = ClusterState::homogeneous(5, Resources::cpu(3.0));
-        state.fail_node(NodeId::new(4));
-        let seq = plan_with_pool(&w, &state, &PhoenixConfig::default(), &Pool::sequential());
-        for shards in [2usize, 3, 8] {
-            for threads in [1usize, 4] {
-                let mut cfg = PhoenixConfig::default();
-                cfg.packing.shards = shards;
-                let par = plan_with_pool(&w, &state, &cfg, &Pool::new(threads));
-                let tag = format!("shards {shards} threads {threads}");
-                assert_eq!(seq.actions, par.actions, "{tag}");
-                assert_eq!(seq.packing.deletions, par.packing.deletions, "{tag}");
-                assert_eq!(seq.packing.migrations, par.packing.migrations, "{tag}");
-                assert_eq!(seq.packing.starts, par.packing.starts, "{tag}");
-                assert_eq!(seq.packing.unplaced, par.packing.unplaced, "{tag}");
-            }
         }
     }
 
@@ -491,7 +444,7 @@ mod tests {
     }
 
     #[test]
-    fn modal_plan_is_thread_and_shard_invariant() {
+    fn modal_plan_is_thread_invariant() {
         use crate::spec::{ModeSpec, ServingMode};
 
         let mut apps = Vec::new();
@@ -526,17 +479,13 @@ mod tests {
             seq.rank.items.iter().any(|i| i.mode != ServingMode::Full),
             "crunch must engage the ladders"
         );
-        for shards in [0usize, 2, 3] {
-            for threads in [1usize, 4] {
-                let mut cfg = PhoenixConfig::default();
-                cfg.packing.shards = shards;
-                let par = plan_with_pool(&w, &state, &cfg, &Pool::new(threads));
-                let tag = format!("shards {shards} threads {threads}");
-                assert_eq!(seq.actions, par.actions, "{tag}");
-                assert_eq!(seq.modes, par.modes, "{tag}");
-                assert_eq!(seq.rank.items, par.rank.items, "{tag}");
-                assert_eq!(seq.packing.starts, par.packing.starts, "{tag}");
-            }
+        for threads in [1usize, 4] {
+            let par = plan_with_pool(&w, &state, &PhoenixConfig::default(), &Pool::new(threads));
+            let tag = format!("threads {threads}");
+            assert_eq!(seq.actions, par.actions, "{tag}");
+            assert_eq!(seq.modes, par.modes, "{tag}");
+            assert_eq!(seq.rank.items, par.rank.items, "{tag}");
+            assert_eq!(seq.packing.starts, par.packing.starts, "{tag}");
         }
     }
 

@@ -40,16 +40,12 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use phoenix_cluster::packing::{
-    pack, pack_prepared, pack_prepared_sharded, pack_sharded, PlannedPod,
-};
+use phoenix_cluster::packing::{pack, pack_prepared, PlannedPod};
 use phoenix_cluster::{ClusterState, PodKey};
 use phoenix_exec::Pool;
 
 use crate::actions::diff_from_outcome;
-use crate::controller::{
-    effective_packing, flatten_plan, PhoenixConfig, PlanResult, PoolShardRunner,
-};
+use crate::controller::{effective_packing, flatten_plan, PhoenixConfig, PlanResult};
 use crate::objectives::ObjectiveKind;
 use crate::planner::{app_rank, PlannerConfig};
 use crate::ranking::{
@@ -222,6 +218,7 @@ impl ReplanCache {
                         .all(|((_, a), &f)| a.fingerprint() == f),
                 "ReplanDelta::CapacityOnly passed after a spec change"
             );
+            phoenix_obs::global().incr(phoenix_obs::Counter::CapacityOnlySkips);
             return false;
         }
         let mut ranks_changed = cfg_changed || workload.app_count() != self.fingerprints.len();
@@ -298,10 +295,7 @@ pub fn replan_with(
 /// invalidated per-app rank walks fan out; the merge and every cache
 /// decision stay sequential, so warm output remains byte-identical to a
 /// cold [`plan_with`](crate::controller::plan_with) for every thread
-/// count. Packing is sequential by default; with
-/// [`PackingConfig::shards`](phoenix_cluster::packing::PackingConfig::shards)
-/// `> 1` its fit scans fan out over node shards on the same pool —
-/// still byte-identical by the ordered-merge contract.
+/// count. Packing is sequential.
 pub fn replan_with_pool(
     workload: &Workload,
     state: &ClusterState,
@@ -436,31 +430,15 @@ pub fn replan_with_pool(
     // --- Scheduler -----------------------------------------------------
     let t1 = Instant::now();
     let _pack_timer = obs.phase(phoenix_obs::Phase::Pack);
-    let mut pack_cfg = effective_packing(workload, &config.packing);
-    pack_cfg.shards = pack_cfg.resolve_shards(state.node_count(), pool.threads());
+    let pack_cfg = effective_packing(workload, &config.packing);
     let mut target = state.clone();
     let (packing, modes) = if modal {
         let (plan, modes) = flatten_plan(workload, &rank.items);
-        let packing = if pack_cfg.shards > 1 {
-            pack_sharded(&mut target, &plan, &pack_cfg, &PoolShardRunner(pool))
-        } else {
-            pack(&mut target, &plan, &pack_cfg)
-        };
-        (packing, modes)
+        (pack(&mut target, &plan, &pack_cfg), modes)
     } else {
-        let packing = if pack_cfg.shards > 1 {
-            pack_prepared_sharded(
-                &mut target,
-                &cache.plan,
-                &pack_cfg,
-                |p| cache.plan_index.get(p),
-                &PoolShardRunner(pool),
-            )
-        } else {
-            pack_prepared(&mut target, &cache.plan, &pack_cfg, |p| {
-                cache.plan_index.get(p)
-            })
-        };
+        let packing = pack_prepared(&mut target, &cache.plan, &pack_cfg, |p| {
+            cache.plan_index.get(p)
+        });
         (packing, ModeAssignment::empty())
     };
     drop(_pack_timer);
@@ -605,12 +583,16 @@ mod tests {
     }
 
     fn churn_equivalence_on(kind: ObjectiveKind, delta: ReplanDelta, pool: &Pool) {
+        // Scoped so no other CapacityOnly replan counts into this recorder.
+        let recorder = phoenix_obs::Recorder::enabled();
+        let _installed = phoenix_obs::install_scoped(recorder.clone());
         let w = workload(3);
         let config = PhoenixConfig::with_objective(kind);
         let mut cache = ReplanCache::new();
         let mut live = ClusterState::homogeneous(8, Resources::cpu(4.0));
+        let rounds = 6u64;
 
-        for round in 0..6 {
+        for round in 0..rounds {
             let cold = plan_with_pool(&w, &live, &config, &Pool::sequential());
             let warm = replan_with_pool(&w, &live, &config, &mut cache, delta, pool);
             assert_equivalent(&cold, &warm);
@@ -635,6 +617,18 @@ mod tests {
                 }
             }
         }
+        // Every CapacityOnly round after the priming one skips the
+        // fingerprint sweep, and says so.
+        let skips = if delta == ReplanDelta::CapacityOnly {
+            rounds - 1
+        } else {
+            0
+        };
+        assert_eq!(
+            recorder.counter(phoenix_obs::Counter::CapacityOnlySkips),
+            skips,
+            "{kind:?} {delta:?}"
+        );
     }
 
     #[test]
@@ -698,93 +692,25 @@ mod tests {
     }
 
     /// Mode-bearing specs through the same churn harness: warm replans —
-    /// sequential, parallel, and sharded — must stay byte-identical to a
+    /// sequential and parallel — must stay byte-identical to a
     /// strictly sequential cold plan while ladders are being cut and
     /// re-extended by the failing/recovering capacity.
     #[test]
     fn modal_warm_equals_cold_under_churn() {
         for kind in [ObjectiveKind::Fairness, ObjectiveKind::Cost] {
             for threads in [1usize, 4] {
-                for shards in [0usize, 3] {
-                    let pool = Pool::new(threads);
-                    let w = modal_workload(1);
-                    let cold_config = PhoenixConfig::with_objective(kind);
-                    let mut warm_config = PhoenixConfig::with_objective(kind);
-                    warm_config.packing.shards = shards;
-                    warm_config.packing.shard_chunk = 2;
-                    let mut cache = ReplanCache::new();
-                    // Tight enough that several ladders are cut mid-way.
-                    let mut live = ClusterState::homogeneous(6, Resources::cpu(4.0));
-                    for round in 0..6u32 {
-                        let cold = plan_with_pool(&w, &live, &cold_config, &Pool::sequential());
-                        let warm = replan_with_pool(
-                            &w,
-                            &live,
-                            &warm_config,
-                            &mut cache,
-                            ReplanDelta::Full,
-                            &pool,
-                        );
-                        let tag =
-                            format!("{kind:?} threads {threads} shards {shards} round {round}");
-                        assert_eq!(cold.actions, warm.actions, "{tag}");
-                        assert_equivalent(&cold, &warm);
-                        live = warm.target.clone();
-                        match round {
-                            0 => {
-                                live.fail_node(NodeId::new(0));
-                            }
-                            1 => {
-                                live.fail_node(NodeId::new(1));
-                                live.fail_node(NodeId::new(2));
-                            }
-                            2 => {
-                                live.restore_node(NodeId::new(0));
-                            }
-                            3 => {} // steady round
-                            _ => {
-                                live.restore_node(NodeId::new(round % 3));
-                            }
-                        }
-                    }
-                    // Crunch rounds must actually have exercised ladders.
-                    assert!(
-                        cache
-                            .rank
-                            .as_ref()
-                            .is_some_and(|r| r.items.iter().any(|i| i.mode != ServingMode::Full)),
-                        "no degraded rung ever ranked — fixture too loose"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Warm *sharded* replans vs. cold *unsharded* sequential plans over
-    /// the same churn scenario: covers warm/cold, sharded/sequential, and
-    /// parallel/sequential equivalence in one sweep.
-    #[test]
-    fn sharded_warm_replans_match_unsharded_cold_plans() {
-        for kind in [ObjectiveKind::Fairness, ObjectiveKind::Cost] {
-            for threads in [1usize, 4] {
                 let pool = Pool::new(threads);
-                let w = workload(3);
-                let cold_config = PhoenixConfig::with_objective(kind);
-                let mut warm_config = PhoenixConfig::with_objective(kind);
-                warm_config.packing.shards = 3;
-                warm_config.packing.shard_chunk = 2;
+                let w = modal_workload(1);
+                let config = PhoenixConfig::with_objective(kind);
                 let mut cache = ReplanCache::new();
-                let mut live = ClusterState::homogeneous(8, Resources::cpu(4.0));
-                for round in 0..5u32 {
-                    let cold = plan_with_pool(&w, &live, &cold_config, &Pool::sequential());
-                    let warm = replan_with_pool(
-                        &w,
-                        &live,
-                        &warm_config,
-                        &mut cache,
-                        ReplanDelta::Full,
-                        &pool,
-                    );
+                // Tight enough that several ladders are cut mid-way.
+                let mut live = ClusterState::homogeneous(6, Resources::cpu(4.0));
+                for round in 0..6u32 {
+                    let cold = plan_with_pool(&w, &live, &config, &Pool::sequential());
+                    let warm =
+                        replan_with_pool(&w, &live, &config, &mut cache, ReplanDelta::Full, &pool);
+                    let tag = format!("{kind:?} threads {threads} round {round}");
+                    assert_eq!(cold.actions, warm.actions, "{tag}");
                     assert_equivalent(&cold, &warm);
                     live = warm.target.clone();
                     match round {
@@ -795,11 +721,23 @@ mod tests {
                             live.fail_node(NodeId::new(1));
                             live.fail_node(NodeId::new(2));
                         }
+                        2 => {
+                            live.restore_node(NodeId::new(0));
+                        }
+                        3 => {} // steady round
                         _ => {
                             live.restore_node(NodeId::new(round % 3));
                         }
                     }
                 }
+                // Crunch rounds must actually have exercised ladders.
+                assert!(
+                    cache
+                        .rank
+                        .as_ref()
+                        .is_some_and(|r| r.items.iter().any(|i| i.mode != ServingMode::Full)),
+                    "no degraded rung ever ranked — fixture too loose"
+                );
             }
         }
     }
@@ -852,6 +790,9 @@ mod tests {
         // merge order is replayable. Round 1 primes, round 2 invests in
         // the share-keyed order, rounds 3+ replay — each must still be
         // byte-identical to a cold plan.
+        // Its CapacityOnly skips must not count into the churn tests'
+        // recorder.
+        let _installed = phoenix_obs::install_scoped(phoenix_obs::Recorder::disabled());
         let w = workload(5);
         let config = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
         let mut cache = ReplanCache::new();
