@@ -8,6 +8,8 @@
 //! stay `Pending` until capacity returns — which is exactly why `Default`
 //! only recovers "once all nodes are back" in Fig. 6.
 
+use phoenix_obs::Counter;
+
 use crate::packing::PlannedPod;
 use crate::{ClusterState, NodeId, PodKey, SortedNodes};
 
@@ -30,21 +32,28 @@ pub fn schedule_pending(state: &mut ClusterState, pending: &[PlannedPod]) -> Def
     let mut todo: Vec<&PlannedPod> = pending.iter().collect();
     todo.sort_by_key(|p| p.key);
     // Least-allocated scoring via the sorted remaining-capacity index:
-    // worst-fit = largest remaining, O(log n) per pod. Ties break by the
-    // index order (highest node id within a capacity tier) — arbitrary but
-    // deterministic, like the real scheduler's score ties.
+    // worst-fit = largest remaining. The scan stops at the first node
+    // whose cpu key is short of the demand, so a pod that fits nowhere
+    // costs O(log n), not a walk over every healthy node. Ties break by
+    // the index order (highest node id within a capacity tier) —
+    // arbitrary but deterministic, like the real scheduler's score ties.
     let mut sorted = SortedNodes::new();
     for n in state.healthy_nodes() {
         sorted.insert(n, state.remaining(n).scalar());
     }
+    let obs = phoenix_obs::global();
+    let mut visited = 0u64;
     for planned in todo {
         if state.node_of(planned.key).is_some() {
             continue;
         }
         let target = sorted
-            .iter_desc()
+            .iter_desc_fitting(planned.demand.cpu)
             .map(|(n, _)| n)
-            .find(|&n| planned.demand.fits_in(&state.remaining(n)));
+            .find(|&n| {
+                visited += 1;
+                planned.demand.fits_in(&state.remaining(n))
+            });
         match target {
             Some(n) => {
                 state
@@ -56,6 +65,7 @@ pub fn schedule_pending(state: &mut ClusterState, pending: &[PlannedPod]) -> Def
             None => out.pending.push(planned.key),
         }
     }
+    obs.add(Counter::FitNodesVisited, visited);
     out
 }
 

@@ -154,6 +154,7 @@ pub fn pack_prepared(
         ..PackCtx::default()
     };
     place_range(state, plan, cfg, &rank_of, &mut sorted, &mut ctx, &mut out);
+    ctx.obs.add(Counter::FitNodesVisited, ctx.fit_nodes_visited);
     out
 }
 
@@ -172,6 +173,8 @@ struct PackCtx {
     /// victimized this pack: consulted on re-placement to collapse the
     /// delete + start pair into a keep or a migration.
     victim_origin: FxHashMap<PodKey, NodeId>,
+    /// Nodes examined by [`try_fit`] this pack (`fit_nodes_visited`).
+    fit_nodes_visited: u64,
 }
 
 /// Places `plan` in rank order with the three-pronged strategy,
@@ -215,7 +218,15 @@ fn place_range(
                 in_place = Some(from);
             }
         }
-        let mut target = in_place.or_else(|| try_fit(state, sorted, planned.demand, cfg));
+        let mut target = in_place.or_else(|| {
+            try_fit(
+                state,
+                sorted,
+                planned.demand,
+                cfg,
+                &mut ctx.fit_nodes_visited,
+            )
+        });
         if target.is_none() && cfg.enable_migration {
             let migrations_before = out.migrations.len();
             target = repack_to_fit(state, sorted, planned.demand, cfg, out);
@@ -242,15 +253,19 @@ fn place_range(
             let (node, _) = state.remove(victim).expect("victim is assigned");
             sorted.update(node, state.remaining(node).scalar());
             ctx.obs.incr(Counter::PackVictimDeletes);
-            // The victim may have been started earlier in this very pack; a
-            // start followed by a delete collapses to "never started".
-            if let Some(pos) = out.starts.iter().position(|&(p, _)| p == victim) {
-                out.starts.swap_remove(pos);
-            } else {
-                out.deletions.push(victim);
-                ctx.victim_origin.insert(victim, node);
-            }
-            target = try_fit(state, sorted, planned.demand, cfg);
+            // Pods are started in rank order and every victim ranks below
+            // the pod being placed, so no victim was started by this pack:
+            // it is always a pre-existing pod being deleted.
+            debug_assert!(!out.starts.iter().any(|&(p, _)| p == victim));
+            out.deletions.push(victim);
+            ctx.victim_origin.insert(victim, node);
+            target = try_fit(
+                state,
+                sorted,
+                planned.demand,
+                cfg,
+                &mut ctx.fit_nodes_visited,
+            );
         }
         match target {
             Some(node) => {
@@ -270,10 +285,12 @@ fn place_range(
                     // Collapse it — back on its old node it is a keep,
                     // elsewhere a migration.
                     Some(from) => {
+                        // A pod is deleted at most once per pack, and its
+                        // deletion is recent: search from the back.
                         let pos = out
                             .deletions
                             .iter()
-                            .position(|&p| p == planned.key)
+                            .rposition(|&p| p == planned.key)
                             .expect("victimized pod was recorded deleted");
                         out.deletions.swap_remove(pos);
                         if from != node {
@@ -330,32 +347,38 @@ fn fits_node(state: &ClusterState, cfg: &PackingConfig, node: NodeId, demand: Re
             .is_none_or(|cap| state.pods_on(node).len() < cap)
 }
 
-/// Step 1: find a node for `demand` under the configured strategy.
+/// Step 1: find a node for `demand` under the configured strategy,
+/// adding the nodes examined to `visited`.
 fn try_fit(
     state: &ClusterState,
     sorted: &SortedNodes,
     demand: Resources,
     cfg: &PackingConfig,
+    visited: &mut u64,
 ) -> Option<NodeId> {
-    match cfg.fit {
+    let mut fits = |n: NodeId| {
+        *visited += 1;
+        fits_node(state, cfg, n, demand)
+    };
+    let target = match cfg.fit {
         FitStrategy::BestFit => sorted
             .best_fit_candidates(demand.scalar())
-            .find(|&n| fits_node(state, cfg, n, demand)),
-        // First fit by id order, stopping at the first fit. (This used to
-        // materialize every fitting node from the capacity-sorted view and
-        // take `.min()` — an O(tracked nodes) scan per placement. The
-        // placements are identical: a fitting node's remaining capacity
-        // always clears the scalar key filter, so "min id among all
-        // fitting" equals "first fit in id order".)
-        FitStrategy::FirstFit => sorted
-            .iter_by_id()
-            .map(|(n, _)| n)
-            .find(|&n| fits_node(state, cfg, n, demand)),
+            .find(|&n| fits(n)),
+        // First fit by id order, stopping at the first fit. When even the
+        // largest cpu key is short of the demand nothing can fit, and the
+        // id-order walk is skipped.
+        FitStrategy::FirstFit => match sorted.iter_desc_fitting(demand.cpu).next() {
+            None => None,
+            Some(_) => sorted.iter_by_id().map(|(n, _)| n).find(|&n| fits(n)),
+        },
+        // The descending scan stops at the first cpu key short of the
+        // demand: every node past it fails `fits_node` too.
         FitStrategy::WorstFit => sorted
-            .iter_desc()
+            .iter_desc_fitting(demand.cpu)
             .map(|(n, _)| n)
-            .find(|&n| fits_node(state, cfg, n, demand)),
-    }
+            .find(|&n| fits(n)),
+    };
+    target
 }
 
 /// Step 2: free up one node by migrating its smallest pods elsewhere.

@@ -83,7 +83,11 @@ impl Resources {
     /// The scalar used for capacity ordering and utilization accounting.
     ///
     /// CPU is the paper's primary (and in AdaptLab, only) dimension, so
-    /// ordering keys and fair-share math use it directly.
+    /// ordering keys and fair-share math use it directly. The bounded
+    /// scans over [`SortedNodes`](crate::SortedNodes) keys rely on this
+    /// being exactly the `cpu` component that [`fits_in`] checks.
+    ///
+    /// [`fits_in`]: Resources::fits_in
     pub fn scalar(&self) -> f64 {
         self.cpu
     }

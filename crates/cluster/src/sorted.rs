@@ -2,6 +2,7 @@
 //! of the Python `SortedList` the reference implementation uses for
 //! faster-than-linear best-fit queries.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -157,6 +158,22 @@ impl SortedNodes {
         self.set.iter().rev().map(|&(k, n)| (n, k.get()))
     }
 
+    /// [`iter_desc`], cut off at the first key that a `cpu` demand cannot
+    /// fit under [`Resources::fits_in`]'s cpu clause (`cpu <= key + 1e-9`).
+    ///
+    /// The cut-off (`cpu > key + 1e-9`) is that clause's exact complement,
+    /// so with keys equal to each node's remaining cpu every node cut off
+    /// fails `fits_in` too: a descending scan for a fit may stop here
+    /// instead of walking every node. A NaN key compares as neither, so it
+    /// does not end the scan (`fits_in` rejects it either way).
+    ///
+    /// [`iter_desc`]: SortedNodes::iter_desc
+    /// [`Resources::fits_in`]: crate::Resources::fits_in
+    pub fn iter_desc_fitting(&self, cpu: f64) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+        self.iter_desc()
+            .take_while(move |&(_, key)| cpu.partial_cmp(&(key + 1e-9)) != Some(Ordering::Greater))
+    }
+
     /// Iterates nodes from least to most remaining capacity.
     pub fn iter_asc(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
         self.set.iter().map(|&(k, n)| (n, k.get()))
@@ -270,5 +287,31 @@ mod tests {
         assert_eq!(s.worst_fit(), Some(n(1)));
         assert_eq!(s.len(), 2);
         assert_eq!(s.remove(n(0)), Some(1.0));
+    }
+
+    #[test]
+    fn fitting_scan_stops_at_first_short_key() {
+        let mut s = SortedNodes::new();
+        s.insert(n(0), 2.0);
+        s.insert(n(1), 8.0);
+        s.insert(n(2), 4.0);
+        s.insert(n(3), 3.0 - 5e-10);
+        let fitting: Vec<_> = s.iter_desc_fitting(3.0).map(|(node, _)| node).collect();
+        // 3.0 - 5e-10 is within fits_in's tolerance; 2.0 is not.
+        assert_eq!(fitting, vec![n(1), n(2), n(3)]);
+        assert_eq!(s.iter_desc_fitting(9.0).count(), 0);
+    }
+
+    #[test]
+    fn fitting_scan_skips_a_nan_key_instead_of_stopping() {
+        // The NaN key sorts first in a descending scan. It must be
+        // yielded (the caller's fits_in rejects it), not end the scan
+        // before the real fits behind it.
+        let mut s = SortedNodes::new();
+        s.insert(n(0), f64::NAN);
+        s.insert(n(1), 4.0);
+        s.insert(n(2), 1.0);
+        let fitting: Vec<_> = s.iter_desc_fitting(2.0).map(|(node, _)| node).collect();
+        assert_eq!(fitting, vec![n(0), n(1)]);
     }
 }

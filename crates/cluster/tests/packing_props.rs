@@ -1,6 +1,8 @@
 //! Property tests: the packing heuristic never overcommits a node, never
-//! uses failed nodes, and respects plan membership.
+//! uses failed nodes, respects plan membership, and places exactly what a
+//! full-scan reference places.
 
+use phoenix_cluster::default_sched::schedule_pending;
 use phoenix_cluster::packing::{pack, FitStrategy, PackingConfig, PlannedPod};
 use phoenix_cluster::{ClusterState, NodeId, PodKey, Resources};
 use proptest::prelude::*;
@@ -351,5 +353,288 @@ proptest! {
             prop_assert!(!s.cfg.strict || out.unplaced.is_empty());
             prop_assert_eq!(state.pod_count() + out.unplaced.len(), plan.len());
         }
+    }
+}
+
+/// Full-scan reference implementations: the packer and the `Default`
+/// scheduler with every capacity-ordered fit scan unbounded
+/// (`iter_desc().find(fits)`, `iter_by_id().find(fits)`). The shipped
+/// code stops those scans at the first node whose cpu key is short of
+/// the demand; these copies pin that it places exactly the same pods.
+mod full_scan {
+    use std::collections::{BTreeSet, HashMap};
+
+    use phoenix_cluster::default_sched::DefaultOutcome;
+    use phoenix_cluster::packing::{FitStrategy, PackOutcome, PackingConfig, PlannedPod};
+    use phoenix_cluster::{ClusterState, NodeId, PodKey, Resources, SortedNodes};
+
+    pub fn schedule_pending(state: &mut ClusterState, pending: &[PlannedPod]) -> DefaultOutcome {
+        let mut out = DefaultOutcome::default();
+        let mut todo: Vec<&PlannedPod> = pending.iter().collect();
+        todo.sort_by_key(|p| p.key);
+        let mut sorted = healthy_sorted(state);
+        for planned in todo {
+            if state.node_of(planned.key).is_some() {
+                continue;
+            }
+            let target = sorted
+                .iter_desc()
+                .map(|(n, _)| n)
+                .find(|&n| planned.demand.fits_in(&state.remaining(n)));
+            match target {
+                Some(n) => {
+                    state.assign(planned.key, planned.demand, n).unwrap();
+                    sorted.update(n, state.remaining(n).scalar());
+                    out.placed.push((planned.key, n));
+                }
+                None => out.pending.push(planned.key),
+            }
+        }
+        out
+    }
+
+    pub fn pack(state: &mut ClusterState, plan: &[PlannedPod], cfg: &PackingConfig) -> PackOutcome {
+        let rank_of: HashMap<PodKey, usize> =
+            plan.iter().enumerate().map(|(i, p)| (p.key, i)).collect();
+        let mut out = PackOutcome::default();
+        let to_drop: Vec<PodKey> = state
+            .assignments()
+            .filter(|(p, _, _)| !rank_of.contains_key(p))
+            .map(|(p, _, _)| p)
+            .collect();
+        for p in to_drop {
+            state.remove(p).unwrap();
+            out.deletions.push(p);
+        }
+        let mut sorted = healthy_sorted(state);
+        let mut active: Option<BTreeSet<(usize, PodKey)>> = None;
+        let mut victim_origin: HashMap<PodKey, NodeId> = HashMap::new();
+        for (rank, planned) in plan.iter().enumerate() {
+            let mut in_place = None;
+            if state.node_of(planned.key).is_some() {
+                let booked = state.demand_of(planned.key).unwrap();
+                if !cfg.rebook_in_place || booked == planned.demand {
+                    continue;
+                }
+                let (from, _) = state.remove(planned.key).unwrap();
+                sorted.update(from, state.remaining(from).scalar());
+                if let Some(active) = active.as_mut() {
+                    active.remove(&(rank, planned.key));
+                }
+                victim_origin.insert(planned.key, from);
+                out.deletions.push(planned.key);
+                if fits_node(state, cfg, from, planned.demand) {
+                    in_place = Some(from);
+                }
+            }
+            let mut target = in_place.or_else(|| try_fit(state, &sorted, planned.demand, cfg));
+            if target.is_none() && cfg.enable_migration {
+                target = repack_to_fit(state, &mut sorted, planned.demand, cfg, &mut out);
+            }
+            while target.is_none() {
+                let active = active.get_or_insert_with(|| {
+                    state
+                        .assignments()
+                        .map(|(p, _, _)| (rank_of[&p], p))
+                        .collect()
+                });
+                let Some(&(victim_rank, victim)) = active.iter().next_back() else {
+                    break;
+                };
+                if victim_rank <= rank {
+                    break;
+                }
+                active.remove(&(victim_rank, victim));
+                let (node, _) = state.remove(victim).unwrap();
+                sorted.update(node, state.remaining(node).scalar());
+                if let Some(pos) = out.starts.iter().position(|&(p, _)| p == victim) {
+                    out.starts.swap_remove(pos);
+                } else {
+                    out.deletions.push(victim);
+                    victim_origin.insert(victim, node);
+                }
+                target = try_fit(state, &sorted, planned.demand, cfg);
+            }
+            match target {
+                Some(node) => {
+                    state.assign(planned.key, planned.demand, node).unwrap();
+                    sorted.update(node, state.remaining(node).scalar());
+                    if let Some(active) = active.as_mut() {
+                        active.insert((rank, planned.key));
+                    }
+                    match victim_origin.remove(&planned.key) {
+                        Some(from) => {
+                            let pos = out
+                                .deletions
+                                .iter()
+                                .position(|&p| p == planned.key)
+                                .unwrap();
+                            out.deletions.swap_remove(pos);
+                            if from != node {
+                                out.migrations.push((planned.key, from, node));
+                            }
+                        }
+                        None => out.starts.push((planned.key, node)),
+                    }
+                }
+                None => {
+                    out.unplaced.push(planned.key);
+                    if cfg.strict {
+                        out.aborted = true;
+                        return out;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn healthy_sorted(state: &ClusterState) -> SortedNodes {
+        let mut sorted = SortedNodes::new();
+        for n in state.healthy_nodes() {
+            sorted.insert(n, state.remaining(n).scalar());
+        }
+        sorted
+    }
+
+    fn fits_node(
+        state: &ClusterState,
+        cfg: &PackingConfig,
+        node: NodeId,
+        demand: Resources,
+    ) -> bool {
+        demand.fits_in(&state.remaining(node))
+            && cfg
+                .max_pods_per_node
+                .is_none_or(|cap| state.pods_on(node).len() < cap)
+    }
+
+    fn try_fit(
+        state: &ClusterState,
+        sorted: &SortedNodes,
+        demand: Resources,
+        cfg: &PackingConfig,
+    ) -> Option<NodeId> {
+        let fits = |&n: &NodeId| fits_node(state, cfg, n, demand);
+        match cfg.fit {
+            FitStrategy::BestFit => sorted.best_fit_candidates(demand.scalar()).find(fits),
+            FitStrategy::FirstFit => sorted.iter_by_id().map(|(n, _)| n).find(fits),
+            FitStrategy::WorstFit => sorted.iter_desc().map(|(n, _)| n).find(fits),
+        }
+    }
+
+    fn repack_to_fit(
+        state: &mut ClusterState,
+        sorted: &mut SortedNodes,
+        demand: Resources,
+        cfg: &PackingConfig,
+        out: &mut PackOutcome,
+    ) -> Option<NodeId> {
+        let candidates: Vec<NodeId> = sorted
+            .iter_desc()
+            .take(cfg.max_migration_nodes)
+            .map(|(n, _)| n)
+            .collect();
+        for source in candidates {
+            let mut moves: Vec<(PodKey, NodeId, NodeId)> = Vec::new();
+            let mut pods: Vec<(PodKey, Resources)> = state
+                .pods_on(source)
+                .iter()
+                .map(|&p| (p, state.demand_of(p).unwrap()))
+                .collect();
+            pods.sort_by(|a, b| a.1.scalar().total_cmp(&b.1.scalar()));
+            let mut ok = false;
+            for (p, d) in pods {
+                if fits_node(state, cfg, source, demand) {
+                    ok = true;
+                    break;
+                }
+                if moves.len() >= cfg.max_migration_moves {
+                    break;
+                }
+                let Some(dest) = sorted
+                    .best_fit_candidates(d.scalar())
+                    .find(|&n| n != source && fits_node(state, cfg, n, d))
+                else {
+                    continue;
+                };
+                state.migrate(p, dest).unwrap();
+                sorted.update(source, state.remaining(source).scalar());
+                sorted.update(dest, state.remaining(dest).scalar());
+                moves.push((p, source, dest));
+            }
+            if !ok && fits_node(state, cfg, source, demand) {
+                ok = true;
+            }
+            if ok {
+                out.migrations.extend(moves);
+                return Some(source);
+            }
+            for (p, src, dest) in moves.into_iter().rev() {
+                state.migrate(p, src).unwrap();
+                sorted.update(src, state.remaining(src).scalar());
+                sorted.update(dest, state.remaining(dest).scalar());
+            }
+        }
+        None
+    }
+}
+
+/// Every pod's node, in pod order: the packed state as comparable bytes.
+fn placement(state: &ClusterState) -> Vec<(PodKey, NodeId)> {
+    let mut pods: Vec<(PodKey, NodeId)> = state.assignments().map(|(p, n, _)| (p, n)).collect();
+    pods.sort_unstable();
+    pods
+}
+
+/// A live scenario, optionally flattened to cpu only (the AdaptLab
+/// model) and with every pre-existing plan pod's planned demand changed
+/// and `rebook_in_place` on (so the serving-mode rebook path fires).
+fn arb_equivalence_scenario() -> impl Strategy<Value = LiveScenario> {
+    (arb_live_scenario(), any::<bool>(), any::<bool>()).prop_map(|(mut s, one_d, rebook)| {
+        if one_d {
+            for cap in &mut s.caps {
+                cap.1 = 0.0;
+            }
+            for pod in &mut s.plan {
+                pod.1 = 0.0;
+            }
+        }
+        s.cfg.rebook_in_place = rebook;
+        s
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// `pack` under every fit strategy, and `schedule_pending`, produce
+    /// byte-identical outcomes and placements to the full-scan reference.
+    #[test]
+    fn bounded_fit_scans_match_full_scan_reference(
+        s in arb_equivalence_scenario(),
+        grow in 0.5f64..2.0,
+    ) {
+        let (live, mut plan) = build_live_state(&s);
+        if s.cfg.rebook_in_place {
+            for p in plan.iter_mut().filter(|p| live.node_of(p.key).is_some()) {
+                p.demand = Resources::new(p.demand.cpu * grow, p.demand.mem);
+            }
+        }
+        for fit in [FitStrategy::BestFit, FitStrategy::FirstFit, FitStrategy::WorstFit] {
+            let cfg = PackingConfig { fit, ..s.cfg.clone() };
+            let (mut got_state, mut want_state) = (live.clone(), live.clone());
+            let got = pack(&mut got_state, &plan, &cfg);
+            let want = full_scan::pack(&mut want_state, &plan, &cfg);
+            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "{:?}", fit);
+            prop_assert_eq!(placement(&got_state), placement(&want_state), "{:?}", fit);
+        }
+
+        let (mut got_state, mut want_state) = (live.clone(), live);
+        let got = schedule_pending(&mut got_state, &plan);
+        let want = full_scan::schedule_pending(&mut want_state, &plan);
+        prop_assert_eq!(got.placed, want.placed);
+        prop_assert_eq!(got.pending, want.pending);
+        prop_assert_eq!(placement(&got_state), placement(&want_state));
     }
 }

@@ -84,11 +84,16 @@ pub enum Counter {
     /// Warm replans whose `ReplanDelta::CapacityOnly` hint skipped the
     /// per-app fingerprint sweep (every cached rank reused unchecked).
     CapacityOnlySkips,
+    /// Nodes examined by packing's fit step and by the `Default`
+    /// scheduler's least-allocated scan, summed over every query (a
+    /// capacity-ordered scan that stops where nothing can fit adds 0 for
+    /// an unplaceable pod).
+    FitNodesVisited,
 }
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 27] = [
+    pub const ALL: [Counter; 28] = [
         Counter::ColdPlans,
         Counter::WarmReplans,
         Counter::ReplanCacheHits,
@@ -116,6 +121,7 @@ impl Counter {
         Counter::SweepTrials,
         Counter::HuntEvaluations,
         Counter::CapacityOnlySkips,
+        Counter::FitNodesVisited,
     ];
 
     /// Stable snake_case name used in exports and the determinism probe.
@@ -148,6 +154,7 @@ impl Counter {
             Counter::SweepTrials => "sweep_trials",
             Counter::HuntEvaluations => "hunt_evaluations",
             Counter::CapacityOnlySkips => "capacity_only_skips",
+            Counter::FitNodesVisited => "fit_nodes_visited",
         }
     }
 }
